@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"net"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"chameleondb/internal/core"
+	"chameleondb/internal/kvstore"
 	"chameleondb/internal/resp"
 	"chameleondb/internal/server"
 	"chameleondb/internal/simclock"
@@ -149,38 +149,18 @@ func runAllocsEmbedded(opt Options) ([][]string, error) {
 }
 
 func runAllocsWire(opt Options) ([][]string, error) {
-	cfg := chameleonConfig(4096, opt.ValueSize)
-	s, err := core.Open(cfg)
+	key := []byte("allocs-wire-key")
+	val := make([]byte, opt.ValueSize)
+	// No coalescing window: the single benchmark connection would only wait
+	// the delay out, and the point here is allocation counting, not latency.
+	ws, err := bootServer(chameleonConfig(4096, opt.ValueSize), server.Config{GroupCommitDelay: -1},
+		func(se kvstore.Session) error { return se.Put(key, val) })
 	if err != nil {
 		return nil, err
 	}
-	defer s.Close()
-	key := []byte("allocs-wire-key")
-	val := make([]byte, opt.ValueSize)
-	loader := s.NewSession(simclock.New(0))
-	if err := loader.Put(key, val); err != nil {
-		return nil, err
-	}
-	if err := releaseSession(loader); err != nil {
-		return nil, err
-	}
+	defer ws.stop()
 
-	// No coalescing window: the single benchmark connection would only wait
-	// the delay out, and the point here is allocation counting, not latency.
-	srv := server.New(s, server.Config{Addr: "127.0.0.1:0", GroupCommitDelay: -1})
-	if err := srv.Listen(); err != nil {
-		return nil, err
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve() }()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-		<-serveErr
-	}()
-
-	nc, err := net.DialTimeout("tcp", srv.Addr().String(), 5*time.Second)
+	nc, err := net.DialTimeout("tcp", ws.addr, 5*time.Second)
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 
 	"chameleondb/internal/core"
 	"chameleondb/internal/histogram"
+	"chameleondb/internal/kvstore"
 	"chameleondb/internal/resp"
 	"chameleondb/internal/server"
 	"chameleondb/internal/simclock"
@@ -53,38 +54,13 @@ func runNetBench(opt Options) ([]*Report, error) {
 	headroom := int64(totalConns+8) * wlog.DefaultSegmentSize
 	cfg.LogBytes += headroom
 	cfg.ArenaBytes += headroom
-	s, err := core.Open(cfg)
+	// The wire phase reads only preloaded keys, so every GET miss is a
+	// correctness bug, not workload noise.
+	ws, err := bootServer(cfg, server.Config{}, preloadKeys(opt.Keys, opt.ValueSize))
 	if err != nil {
 		return nil, err
 	}
-	defer s.Close()
-
-	// Preload the keyspace in-process: the wire phase reads only existing
-	// keys, so every GET miss is a correctness bug, not workload noise.
-	loader := s.NewSession(simclock.New(0))
-	val := make([]byte, opt.ValueSize)
-	for i := int64(0); i < opt.Keys; i++ {
-		if err := loader.Put(ycsb.Key(i), val); err != nil {
-			return nil, err
-		}
-	}
-	if err := releaseSession(loader); err != nil {
-		return nil, err
-	}
-
-	srv := server.New(s, server.Config{Addr: "127.0.0.1:0"})
-	if err := srv.Listen(); err != nil {
-		return nil, err
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve() }()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-		<-serveErr
-	}()
-	addr := srv.Addr().String()
+	defer ws.stop()
 
 	rep := &Report{
 		ID:      "netbench",
@@ -99,15 +75,72 @@ func runNetBench(opt Options) ([]*Report, error) {
 	}
 	for _, conns := range NetBenchConns {
 		for _, depth := range NetBenchDepths {
-			row, err := netBenchCell(addr, opt, conns, depth)
+			row, err := netBenchCell(ws.addr, opt, conns, depth)
 			if err != nil {
 				return nil, err
 			}
 			rep.Rows = append(rep.Rows, row)
 		}
 	}
-	attachMetrics(rep, s) // server metrics live in the store's registry
+	attachMetrics(rep, ws.store) // server metrics live in the store's registry
 	return []*Report{rep}, nil
+}
+
+// wireServer is a serving stack booted in-process for the wire experiments:
+// a core store, preloaded through one session, served over RESP on an
+// ephemeral loopback port.
+type wireServer struct {
+	store *core.Store
+	addr  string
+	stop  func() // shuts the server down, then closes the store
+}
+
+// bootServer opens a core store with cfg, runs preload on one session and
+// releases it, then serves the store with scfg on 127.0.0.1:0. Callers pad
+// cfg's log with a segment per connection they will open (see runNetBench).
+func bootServer(cfg core.Config, scfg server.Config, preload func(kvstore.Session) error) (*wireServer, error) {
+	s, err := core.Open(cfg)
+	if err != nil {
+		return nil, err
+	}
+	loader := s.NewSession(simclock.New(0))
+	err = preload(loader)
+	if rerr := releaseSession(loader); err == nil {
+		err = rerr
+	}
+	if err != nil {
+		s.Close()
+		return nil, err
+	}
+	scfg.Addr = "127.0.0.1:0"
+	srv := server.New(s, scfg)
+	if err := srv.Listen(); err != nil {
+		s.Close()
+		return nil, err
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve() }()
+	stop := func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+		<-serveErr
+		s.Close()
+	}
+	return &wireServer{store: s, addr: srv.Addr().String(), stop: stop}, nil
+}
+
+// preloadKeys writes ycsb keys [0, n) with zero-filled values of size bytes.
+func preloadKeys(n int64, size int) func(kvstore.Session) error {
+	return func(se kvstore.Session) error {
+		val := make([]byte, size)
+		for i := int64(0); i < n; i++ {
+			if err := se.Put(ycsb.Key(i), val); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }
 
 // netBenchCell runs one (connections, depth) cell: opt.Ops total operations

@@ -1,13 +1,10 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"strconv"
-	"time"
 
-	"chameleondb/internal/core"
 	"chameleondb/internal/hotcache"
 	"chameleondb/internal/server"
 	"chameleondb/internal/simclock"
@@ -48,10 +45,8 @@ func ycsbCacheEntry(valueSize int) int64 { return int64(64 + 8 + valueSize) }
 type ycsbServer struct {
 	name  string
 	bytes int64
-	store *core.Store
 	cache *hotcache.Cache
-	addr  string
-	stop  func()
+	*wireServer
 }
 
 // runYCSBWire drives live chameleon servers over loopback with the YCSB wire
@@ -134,43 +129,12 @@ func startYCSBServer(opt Options, workers int, name string, cacheBytes int64) (*
 		(1+ycsbWireReps)*opt.Ops*int64(40+opt.ValueSize)
 	cfg.LogBytes += headroom
 	cfg.ArenaBytes += headroom
-	s, err := core.Open(cfg)
+	cache := hotcache.New(cacheBytes)
+	ws, err := bootServer(cfg, server.Config{Cache: cache}, preloadKeys(opt.Keys, opt.ValueSize))
 	if err != nil {
 		return nil, err
 	}
-	loader := s.NewSession(simclock.New(0))
-	val := make([]byte, opt.ValueSize)
-	for i := int64(0); i < opt.Keys; i++ {
-		if err := loader.Put(ycsb.Key(i), val); err != nil {
-			s.Close()
-			return nil, err
-		}
-	}
-	if err := releaseSession(loader); err != nil {
-		s.Close()
-		return nil, err
-	}
-
-	cache := hotcache.New(cacheBytes)
-	srv := server.New(s, server.Config{Addr: "127.0.0.1:0", Cache: cache})
-	if err := srv.Listen(); err != nil {
-		s.Close()
-		return nil, err
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve() }()
-	stop := func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-		<-serveErr
-		s.Close()
-	}
-	return &ycsbServer{
-		name: name, bytes: cacheBytes,
-		store: s, cache: cache,
-		addr: srv.Addr().String(), stop: stop,
-	}, nil
+	return &ycsbServer{name: name, bytes: cacheBytes, cache: cache, wireServer: ws}, nil
 }
 
 // ycsbWirePhase measures one workload phase across ALL configurations with

@@ -94,6 +94,25 @@ type Incrementer interface {
 	IncrBy(key []byte, delta int64) (int64, error)
 }
 
+// ServingSession is the session contract of the serving stack: a Session with
+// every optional capability above, plus Release. The RESP server, the hot-key
+// cache and the embedded facade assert it once per session and then call the
+// capabilities directly, with no per-command fallbacks; ChameleonDB's core
+// sessions implement it.
+type ServingSession interface {
+	Session
+	ValueReader
+	BatchWriter
+	ConditionalDeleter
+	Incrementer
+	Scanner
+	// Release flushes the session and detaches it from the store (its log
+	// appender and reader-epoch slot), so a finished client pins neither the
+	// recovery watermark nor table reclamation. The session is unusable
+	// afterwards.
+	Release() error
+}
+
 // Store is a key-value store under evaluation.
 type Store interface {
 	// Name identifies the store in reports ("ChameleonDB", "Pmem-Hash", ...).

@@ -4,19 +4,17 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strconv"
 	"time"
 
 	"chameleondb/internal/kvstore"
 	"chameleondb/internal/resp"
-	"chameleondb/internal/wlog"
 )
 
 // pendingCmd tracks one decoded command until its reply reaches the socket,
 // so wire latency includes execution, the group-commit wait, and the write.
 type pendingCmd struct {
-	kind cmdKind
-	t0   time.Time
+	cmd *command
+	t0  time.Time
 }
 
 // connScratchRetain caps the per-connection scratch buffers (GET/MGET value
@@ -44,33 +42,28 @@ type argSpan struct{ off, n int }
 // The hot path is allocation-free in steady state: decoded args are spans of
 // the reader's reused buffer and flow into the engine without copies (Put
 // copies into its log batch before returning), GET values land in the reused
-// vbuf via kvstore.ValueReader, and runs of pipelined SETs dispatch through
-// kvstore.BatchWriter under one shard-lock acquisition per shard touched.
-// Every scratch buffer is cap-bounded so one oversized batch cannot pin its
-// high-water mark.
+// vbuf via GetInto, and runs of pipelined SETs dispatch through PutBatch under
+// one shard-lock acquisition per shard touched. Every scratch buffer is
+// cap-bounded so one oversized batch cannot pin its high-water mark.
 type conn struct {
 	srv  *Server
 	nc   net.Conn
 	r    *resp.Reader
 	w    *resp.Writer
-	se   kvstore.Session
+	se   kvstore.ServingSession
 	done chan error // group-commit ack channel, reused across batches
 	pend []pendingCmd
 
-	// Optional engine capabilities, type-asserted once at accept time instead
-	// of per command.
-	vr  kvstore.ValueReader
-	bw  kvstore.BatchWriter
-	cd  kvstore.ConditionalDeleter
-	inc kvstore.Incrementer
-	sc  kvstore.Scanner
+	// Per-batch state: dirty means the batch holds an uncommitted write,
+	// closing that QUIT ends the connection after this batch's replies.
+	dirty, closing bool
 
 	// vbuf is the reused value buffer for GET/EXISTS/MGET reads (GetInto
-	// appends into it); mget records MGET result spans inside it. num is
-	// integer-formatting scratch (SCAN cursors).
-	vbuf []byte
-	mget []mgetSpan
-	num  [24]byte
+	// appends into it); mgetSpans records MGET result spans inside it. num
+	// is integer-formatting scratch (SCAN cursors).
+	vbuf      []byte
+	mgetSpans []mgetSpan
+	num       [24]byte
 
 	// runKeys/runVals collect a run of consecutive pipelined SETs whose args
 	// are pinned in the reader's buffer (ReadCommandKeep); dispatchRun hands
@@ -95,28 +88,23 @@ type conn struct {
 // queuedCmd is one command buffered between MULTI and EXEC: its args are
 // txnSpans[start:start+n] inside the connection's txnBuf arena.
 type queuedCmd struct {
-	kind  cmdKind
+	cmd   *command
 	start int
 	n     int
 }
 
-func newConn(s *Server, nc net.Conn) *conn {
+func newConn(s *Server, nc net.Conn, se kvstore.ServingSession) *conn {
 	c := &conn{
 		srv:  s,
 		nc:   nc,
 		r:    resp.NewReaderLimits(nc, s.cfg.Limits),
 		w:    resp.NewWriter(nc),
-		se:   s.newSession(),
+		se:   se,
 		done: make(chan error, 1),
 	}
 	if s.cfg.ReplyRetainBytes > 0 {
 		c.w.SetMaxRetain(s.cfg.ReplyRetainBytes)
 	}
-	c.vr, _ = c.se.(kvstore.ValueReader)
-	c.bw, _ = c.se.(kvstore.BatchWriter)
-	c.cd, _ = c.se.(kvstore.ConditionalDeleter)
-	c.inc, _ = c.se.(kvstore.Incrementer)
-	c.sc, _ = c.se.(kvstore.Scanner)
 	return c
 }
 
@@ -128,7 +116,7 @@ func (c *conn) nudge() { c.nc.SetReadDeadline(time.Now()) }
 
 func (c *conn) serve() {
 	defer func() {
-		releaseSession(c.se)
+		c.se.Release()
 		c.nc.Close()
 		c.srv.remove(c)
 	}()
@@ -147,33 +135,28 @@ func (c *conn) serve() {
 			c.fail(err)
 			return
 		}
-		var (
-			dirty   bool // batch contains an unflushed write
-			quit    bool
-			decErr  error
-			decoded int
-		)
+		var decErr error
+		c.dirty, c.closing = false, false
 		c.pend = c.pend[:0]
 		for {
 			t0 := time.Now()
 			m.CmdsInFlight.Add(1)
-			kind := commandKind(args[0])
+			cmd := lookup(args[0])
 			// Shard-affine dispatch: a run of consecutive SETs is collected,
 			// not executed — its args stay pinned in the reader's buffer —
 			// and dispatchRun applies the whole run through PutBatch, one
 			// shard-lock acquisition per destination shard instead of one per
 			// SET. Replies stay in command order because the run is contiguous
 			// and is dispatched before the command that ends it executes.
-			if kind == cmdSet && len(args) == 3 && !c.inTxn && c.bw != nil {
+			if cmd.putRun && !c.inTxn && cmd.argsOK(len(args)) {
 				c.runKeys = append(c.runKeys, args[1])
 				c.runVals = append(c.runVals, args[2])
 			} else {
-				c.dispatchRun(&dirty)
-				c.execute(kind, args, &dirty, &quit)
+				c.dispatchRun()
+				c.execute(cmd, args)
 			}
-			c.pend = append(c.pend, pendingCmd{kind, t0})
-			decoded++
-			if quit || decoded >= c.srv.cfg.MaxPipeline || c.r.Buffered() == 0 {
+			c.pend = append(c.pend, pendingCmd{cmd, t0})
+			if c.closing || len(c.pend) >= c.srv.cfg.MaxPipeline || c.r.Buffered() == 0 {
 				break
 			}
 			// Pipelining: drain commands the client already sent without
@@ -184,11 +167,11 @@ func (c *conn) serve() {
 				break
 			}
 		}
-		c.dispatchRun(&dirty)
+		c.dispatchRun()
 		c.r.Release()
 		// Durability before acknowledgment: the buffered replies do not move
 		// until every write in the batch has been group-committed.
-		if dirty && !c.srv.cfg.AsyncAck {
+		if c.dirty && !c.srv.cfg.AsyncAck {
 			if err := c.srv.batch.commit(c.se, c.done); err != nil {
 				// The writes are not durable; acking them would lie. Drop the
 				// buffered acks, report the failure, and hang up.
@@ -206,8 +189,8 @@ func (c *conn) serve() {
 		}
 		now := time.Now()
 		for _, p := range c.pend {
-			m.Wire[wireHistIndex(p.kind)].Record(now.Sub(p.t0).Nanoseconds())
-			m.PerCmd[p.kind].Add(1)
+			m.Wire[p.cmd.hist].Record(now.Sub(p.t0).Nanoseconds())
+			m.PerCmd[p.cmd.id].Add(1)
 		}
 		m.CmdsProcessed.Add(int64(len(c.pend)))
 		m.CmdsInFlight.Add(int64(-len(c.pend)))
@@ -216,7 +199,7 @@ func (c *conn) serve() {
 			c.fail(decErr)
 			return
 		}
-		if quit {
+		if c.closing {
 			return
 		}
 	}
@@ -231,7 +214,7 @@ func (c *conn) serve() {
 // them before any +OK reaches the wire. On error every SET in the run reports
 // it; a subset of the run may nevertheless have been applied (the same
 // ambiguity MSET documents), so the batch stays dirty and commits the subset.
-func (c *conn) dispatchRun(dirty *bool) {
+func (c *conn) dispatchRun() {
 	n := len(c.runKeys)
 	if n == 0 {
 		return
@@ -240,9 +223,9 @@ func (c *conn) dispatchRun(dirty *bool) {
 	if n == 1 {
 		err = c.se.Put(c.runKeys[0], c.runVals[0])
 	} else {
-		err = c.bw.PutBatch(c.runKeys, c.runVals)
+		err = c.se.PutBatch(c.runKeys, c.runVals)
 	}
-	*dirty = true
+	c.dirty = true
 	if err != nil {
 		c.srv.metrics.StoreErrors.Add(int64(n))
 		msg := respError(err)
@@ -271,6 +254,12 @@ func respError(err error) string {
 	return "ERR " + msg
 }
 
+// storeErr counts a store error and replies with it.
+func (c *conn) storeErr(err error) {
+	c.srv.metrics.StoreErrors.Add(1)
+	c.w.Error(respError(err))
+}
+
 // fail terminates the connection on a read error. Protocol violations get a
 // final -ERR so a confused client can tell what happened; EOF and deadline
 // expiry (idle timeout or a shutdown nudge) close silently.
@@ -296,460 +285,44 @@ func (c *conn) flushReplies() error {
 	return err
 }
 
-// getInto reads key through the allocation-free path when the session
-// supports it, reusing (and growing) the connection's value buffer.
+// getInto reads key into the connection's reused (and growing) value buffer.
 func (c *conn) getInto(key []byte) ([]byte, bool, error) {
-	if c.vr == nil {
-		return c.se.Get(key)
-	}
-	val, ok, err := c.vr.GetInto(key, c.vbuf[:0])
+	val, ok, err := c.se.GetInto(key, c.vbuf[:0])
 	c.vbuf = val[:0]
 	return val, ok, err
 }
 
-// execute runs one decoded command, appending its reply to the write buffer.
-// args alias the reader's internal buffer: valid only for this call, which is
-// fine — the engine copies keys and values into its own arena on Put/Delete,
-// and Get returns a fresh copy (see the buffer-ownership contract, DESIGN.md
-// §7).
-// maxScanCount caps a single SCAN batch so one command cannot buffer an
-// unbounded reply.
-const maxScanCount = 4096
-
-func (c *conn) execute(kind cmdKind, args [][]byte, dirty, quit *bool) {
-	m := c.srv.metrics
-	if c.inTxn && kind != cmdMulti && kind != cmdExec && kind != cmdDiscard {
-		c.enqueue(kind, args)
+// execute runs one decoded command through its table row, appending the
+// reply to the write buffer — or, while a MULTI is open, queues it. A command
+// refused before it runs (unknown name, wrong argument count, not allowed in
+// a transaction) gets one -ERR; refused at queue time, it also poisons the
+// transaction, so EXEC aborts Redis-style instead of burying the error inside
+// the reply array.
+func (c *conn) execute(cmd *command, args [][]byte) {
+	queue := c.inTxn && cmd.multi != multiRun
+	if msg := c.refusal(cmd, args); msg != "" {
+		c.txnErr = c.txnErr || queue
+		c.w.Error(msg)
 		return
 	}
-	switch kind {
-	case cmdGet:
-		if len(args) != 2 {
-			c.arity("get")
-			return
-		}
-		val, ok, err := c.getInto(args[1])
-		switch {
-		case err != nil:
-			m.StoreErrors.Add(1)
-			c.w.Error(respError(err))
-		case !ok:
-			c.w.Null()
-		default:
-			c.w.Bulk(val)
-		}
-	case cmdSet:
-		if len(args) != 3 {
-			c.arity("set")
-			return
-		}
-		if err := c.se.Put(args[1], args[2]); err != nil {
-			m.StoreErrors.Add(1)
-			c.w.Error(respError(err))
-			return
-		}
-		*dirty = true
-		c.w.SimpleString("OK")
-	case cmdDel:
-		if len(args) < 2 {
-			c.arity("del")
-			return
-		}
-		// RESP's DEL reports how many keys existed, but the engine's Delete
-		// is an unconditional tombstone append. The conditional delete runs
-		// probe and tombstone under one shard-lock acquisition, so the count
-		// is exact even when another connection races the same key; the
-		// probe-then-delete fallback (stores without the capability) can
-		// miscount across sessions and tombstone an already-absent key.
-		var n int64
-		for _, key := range args[1:] {
-			var existed bool
-			var err error
-			if c.cd != nil {
-				existed, err = c.cd.DeleteIfPresent(key)
-			} else {
-				_, existed, err = c.getInto(key)
-				if err == nil && existed {
-					err = c.se.Delete(key)
-				}
-			}
-			if err != nil {
-				m.StoreErrors.Add(1)
-				c.w.Error(respError(err))
-				return
-			}
-			if existed {
-				n++
-				*dirty = true
-			}
-		}
-		c.w.Int(n)
-	case cmdExists:
-		if len(args) < 2 {
-			c.arity("exists")
-			return
-		}
-		var n int64
-		for _, key := range args[1:] {
-			_, ok, err := c.getInto(key)
-			if err != nil {
-				m.StoreErrors.Add(1)
-				c.w.Error(respError(err))
-				return
-			}
-			if ok {
-				n++
-			}
-		}
-		c.w.Int(n)
-	case cmdPing:
-		switch len(args) {
-		case 1:
-			c.w.SimpleString("PONG")
-		case 2:
-			c.w.Bulk(args[1])
-		default:
-			c.arity("ping")
-		}
-	case cmdInfo:
-		var section []byte
-		if len(args) > 1 {
-			section = args[1]
-		}
-		c.w.Bulk(c.srv.infoText(section))
-	case cmdFlushAll:
-		// The engine has no bulk delete; ChameleonDB's FLUSHALL is a
-		// store-wide durability barrier instead: seal this session's batch,
-		// then every appender's, so everything acknowledged anywhere is
-		// persistent when OK comes back. (Documented in DESIGN.md §7.)
-		if err := c.se.Flush(); err != nil {
-			m.StoreErrors.Add(1)
-			c.w.Error(respError(err))
-			return
-		}
-		if lp, ok := c.srv.store.(interface{ Log() *wlog.Log }); ok {
-			if lg := lp.Log(); lg != nil {
-				lg.SyncAll(c.se.Clock())
-			}
-		}
-		// FLUSHALL is also the operator's "known state" point: drop the
-		// volatile cache so everything served afterwards is a fresh engine
-		// read (over-invalidation is always safe).
-		c.srv.cache.InvalidateAll()
-		c.w.SimpleString("OK")
-	case cmdMGet:
-		if len(args) < 2 {
-			c.arity("mget")
-			return
-		}
-		// Collect every result before emitting a single byte: a mid-batch
-		// store error must produce one canonical -ERR frame, never a
-		// partially written array stranded in the pipelined reply buffer.
-		// Values accumulate in the shared vbuf with spans (offsets, because
-		// append may move the buffer), so a warm connection allocates nothing.
-		if c.vr != nil {
-			buf := c.vbuf[:0]
-			spans := c.mget[:0]
-			for _, key := range args[1:] {
-				off := len(buf)
-				nb, ok, err := c.vr.GetInto(key, buf)
-				if err != nil {
-					m.StoreErrors.Add(1)
-					c.w.Error(respError(err))
-					c.vbuf, c.mget = nb[:0], spans[:0]
-					return
-				}
-				buf = nb
-				spans = append(spans, mgetSpan{off: off, n: len(buf) - off, hit: ok})
-			}
-			c.vbuf, c.mget = buf[:0], spans[:0]
-			c.w.ArrayHeader(len(spans))
-			for _, sp := range spans {
-				if sp.hit {
-					c.w.Bulk(buf[sp.off : sp.off+sp.n])
-				} else {
-					c.w.Null()
-				}
-			}
-			return
-		}
-		vals := make([][]byte, len(args)-1)
-		hits := make([]bool, len(args)-1)
-		for i, key := range args[1:] {
-			val, ok, err := c.se.Get(key)
-			if err != nil {
-				m.StoreErrors.Add(1)
-				c.w.Error(respError(err))
-				return
-			}
-			vals[i], hits[i] = val, ok
-		}
-		c.w.ArrayHeader(len(vals))
-		for i, v := range vals {
-			if hits[i] {
-				c.w.Bulk(v)
-			} else {
-				c.w.Null()
-			}
-		}
-	case cmdMSet:
-		if len(args) < 3 || (len(args)-1)%2 != 0 {
-			c.arity("mset")
-			return
-		}
-		// Writes apply through PutBatch (shard-affine groups); on a store
-		// error some subset may stay applied (documented deviation: Redis
-		// MSET is atomic — here a failed MSET may leave an applied subset,
-		// where the sequential fallback leaves an applied prefix), but the
-		// reply is still a single canonical -ERR frame and dirty stays set,
-		// so whatever applied is group-committed like any other write.
-		if c.bw != nil {
-			keys := c.runKeys[:0]
-			vals := c.runVals[:0]
-			for i := 1; i+1 < len(args); i += 2 {
-				keys = append(keys, args[i])
-				vals = append(vals, args[i+1])
-			}
-			err := c.bw.PutBatch(keys, vals)
-			c.runKeys, c.runVals = keys[:0], vals[:0]
-			*dirty = true
-			if err != nil {
-				m.StoreErrors.Add(1)
-				c.w.Error(respError(err))
-				return
-			}
-			c.w.SimpleString("OK")
-			return
-		}
-		for i := 1; i+1 < len(args); i += 2 {
-			if err := c.se.Put(args[i], args[i+1]); err != nil {
-				m.StoreErrors.Add(1)
-				c.w.Error(respError(err))
-				return
-			}
-			*dirty = true
-		}
-		c.w.SimpleString("OK")
-	case cmdIncr, cmdIncrBy:
-		want := 2
-		if kind == cmdIncrBy {
-			want = 3
-		}
-		if len(args) != want {
-			c.arity(kind.String())
-			return
-		}
-		if c.inc == nil {
-			c.w.Error("ERR " + kind.String() + " is not supported by this store")
-			return
-		}
-		delta := int64(1)
-		if kind == cmdIncrBy {
-			var ok bool
-			delta, ok = resp.ParseInt(args[2])
-			if !ok {
-				c.w.Error("ERR value is not an integer or out of range")
-				return
-			}
-		}
-		v, err := c.inc.IncrBy(args[1], delta)
-		if err != nil {
-			m.StoreErrors.Add(1)
-			c.w.Error(respError(err))
-			return
-		}
-		*dirty = true
-		c.w.Int(v)
-	case cmdScan:
-		// SCAN cursor [MATCH pattern] [COUNT n] [WITHVALUES]. WITHVALUES is
-		// this server's extension: values interleave with keys in the reply so
-		// a scan does not need an MGET per batch. MATCH filters server-side,
-		// per page, after the engine scan — exactly Redis's contract: COUNT
-		// governs how many entries the engine visits, not how many survive the
-		// filter, so a page may come back empty while the cursor still
-		// advances.
-		if len(args) < 2 {
-			c.arity("scan")
-			return
-		}
-		if c.sc == nil {
-			c.w.Error("ERR scan is not supported by this store")
-			return
-		}
-		cursor, ok := resp.ParseUint(args[1])
-		if !ok {
-			c.w.Error("ERR invalid cursor")
-			return
-		}
-		count := 10
-		withValues := false
-		var match []byte
-		for i := 2; i < len(args); i++ {
-			switch {
-			case equalFoldUpper(args[i], "COUNT") && i+1 < len(args):
-				n, ok := resp.ParseInt(args[i+1])
-				if !ok || n < 1 {
-					c.w.Error("ERR value is not an integer or out of range")
-					return
-				}
-				if n > maxScanCount {
-					n = maxScanCount
-				}
-				count = int(n)
-				i++
-			case equalFoldUpper(args[i], "MATCH") && i+1 < len(args):
-				match = args[i+1]
-				i++
-			case equalFoldUpper(args[i], "WITHVALUES"):
-				withValues = true
-			default:
-				c.w.Error("ERR syntax error")
-				return
-			}
-		}
-		pairs, next, err := c.sc.Scan(cursor, count)
-		if err != nil {
-			m.StoreErrors.Add(1)
-			c.w.Error(respError(err))
-			return
-		}
-		if match != nil {
-			kept := pairs[:0]
-			for _, kv := range pairs {
-				if globMatch(match, kv.Key) {
-					kept = append(kept, kv)
-				}
-			}
-			pairs = kept
-		}
-		c.w.ArrayHeader(2)
-		c.w.Bulk(strconv.AppendUint(c.num[:0], next, 10))
-		if withValues {
-			c.w.ArrayHeader(len(pairs) * 2)
-			for _, kv := range pairs {
-				c.w.Bulk(kv.Key)
-				c.w.Bulk(kv.Value)
-			}
-		} else {
-			c.w.ArrayHeader(len(pairs))
-			for _, kv := range pairs {
-				c.w.Bulk(kv.Key)
-			}
-		}
-	case cmdReplicaOf:
-		if len(args) != 3 {
-			c.arity("replicaof")
-			return
-		}
-		repl := c.srv.cfg.Repl
-		if repl == nil {
-			c.w.Error("ERR replication is not enabled on this server")
-			return
-		}
-		var addr string
-		if !equalFoldUpper(args[1], "NO") || !equalFoldUpper(args[2], "ONE") {
-			addr = net.JoinHostPort(string(args[1]), string(args[2]))
-		}
-		if err := repl.ReplicaOf(addr); err != nil {
-			m.StoreErrors.Add(1)
-			c.w.Error(respError(err))
-			return
-		}
-		c.w.SimpleString("OK")
-	case cmdWait:
-		// WAIT numreplicas timeout-ms. Flushes this session first so the
-		// reply covers every write the connection has issued, then blocks
-		// until that watermark is durable on numreplicas replicas or the
-		// timeout fires. The reply is how many replicas had acknowledged.
-		if len(args) != 3 {
-			c.arity("wait")
-			return
-		}
-		num, ok := resp.ParseInt(args[1])
-		if !ok || num < 0 {
-			c.w.Error("ERR value is not an integer or out of range")
-			return
-		}
-		ms, ok := resp.ParseInt(args[2])
-		if !ok || ms < 0 {
-			c.w.Error("ERR timeout is not an integer or out of range")
-			return
-		}
-		repl := c.srv.cfg.Repl
-		if repl == nil {
-			// No replication subsystem: WAIT degrades to a durability barrier
-			// on this node alone, answering 0 replicas — same as Redis with no
-			// replicas attached.
-			if err := c.se.Flush(); err != nil {
-				m.StoreErrors.Add(1)
-				c.w.Error(respError(err))
-				return
-			}
-			c.w.Int(0)
-			return
-		}
-		n, err := repl.Wait(c.se, int(num), time.Duration(ms)*time.Millisecond)
-		if err != nil {
-			m.StoreErrors.Add(1)
-			c.w.Error(respError(err))
-			return
-		}
-		c.w.Int(int64(n))
-	case cmdMulti:
-		if c.inTxn {
-			c.w.Error("ERR MULTI calls can not be nested")
-			return
-		}
-		c.inTxn = true
-		c.txnErr = false
-		c.resetTxn()
-		c.w.SimpleString("OK")
-	case cmdExec:
-		if !c.inTxn {
-			c.w.Error("ERR EXEC without MULTI")
-			return
-		}
-		aborted := c.txnErr
-		c.inTxn, c.txnErr = false, false
-		if aborted {
-			c.resetTxn()
-			c.w.Error("EXECABORT Transaction discarded because of previous errors.")
-			return
-		}
-		// The queued commands run back to back on this connection's session;
-		// their replies land inside one array, and their writes ride the same
-		// group commit as any pipelined batch — every ack in the array is
-		// durable when it reaches the wire. Commands from other connections
-		// may interleave at the engine (documented deviation from Redis's
-		// single-threaded isolation). Args materialize from the txnBuf arena;
-		// queued commands can never grow the queue (MULTI/EXEC/DISCARD are
-		// rejected at queue time), so iterating c.txn while executing is safe.
-		c.w.ArrayHeader(len(c.txn))
-		for _, q := range c.txn {
-			c.txnArgs = c.txnArgs[:0]
-			for _, sp := range c.txnSpans[q.start : q.start+q.n] {
-				c.txnArgs = append(c.txnArgs, c.txnBuf[sp.off:sp.off+sp.n])
-			}
-			c.execute(q.kind, c.txnArgs, dirty, quit)
-		}
-		c.resetTxn()
-	case cmdDiscard:
-		if !c.inTxn {
-			c.w.Error("ERR DISCARD without MULTI")
-			return
-		}
-		c.inTxn, c.txnErr = false, false
-		c.resetTxn()
-		c.w.SimpleString("OK")
-	case cmdQuit:
-		c.w.SimpleString("OK")
-		*quit = true
-	case cmdCommand:
-		// Enough for redis-cli's handshake.
-		c.w.ArrayHeader(0)
-	default:
-		c.w.Error(fmt.Sprintf("ERR unknown command '%s'", args[0]))
+	if queue {
+		c.enqueue(cmd, args)
+		return
 	}
+	cmd.run(c, args)
+}
+
+// refusal is the error a command gets before it runs or is queued, or "".
+func (c *conn) refusal(cmd *command, args [][]byte) string {
+	switch {
+	case cmd == unknownCommand:
+		return fmt.Sprintf("ERR unknown command '%s'", args[0])
+	case c.inTxn && cmd.multi == multiReject:
+		return "ERR " + cmd.name + " is not allowed in transactions"
+	case !cmd.argsOK(len(args)):
+		return "ERR wrong number of arguments for '" + cmd.name + "' command"
+	}
+	return ""
 }
 
 // resetTxn clears the MULTI queue and its arena, shrinking the arena back
@@ -767,56 +340,14 @@ func (c *conn) resetTxn() {
 // connection's txnBuf arena — the decoded args alias the reader's reused
 // buffer, which is released at batch end. One growing arena plus span records
 // replaces a fresh [][]byte per command, so a warm connection queues without
-// allocating. Unknown commands, wrong arities, and non-transactional commands
-// are rejected immediately and poison the transaction — EXEC then aborts,
-// Redis-style, instead of burying the error inside the reply array.
-func (c *conn) enqueue(kind cmdKind, args [][]byte) {
-	switch {
-	case kind == cmdUnknown:
-		c.txnErr = true
-		c.w.Error(fmt.Sprintf("ERR unknown command '%s'", args[0]))
-		return
-	case kind == cmdQuit || kind == cmdFlushAll:
-		c.txnErr = true
-		c.w.Error("ERR " + kind.String() + " is not allowed in transactions")
-		return
-	case !arityOK(kind, len(args)):
-		c.txnErr = true
-		c.w.Error("ERR wrong number of arguments for '" + kind.String() + "' command")
-		return
-	}
+// allocating.
+func (c *conn) enqueue(cmd *command, args [][]byte) {
 	start := len(c.txnSpans)
 	for _, a := range args {
 		off := len(c.txnBuf)
 		c.txnBuf = append(c.txnBuf, a...)
 		c.txnSpans = append(c.txnSpans, argSpan{off: off, n: len(a)})
 	}
-	c.txn = append(c.txn, queuedCmd{kind: kind, start: start, n: len(args)})
+	c.txn = append(c.txn, queuedCmd{cmd: cmd, start: start, n: len(args)})
 	c.w.SimpleString("QUEUED")
-}
-
-// arityOK validates argument counts at MULTI queue time, mirroring the checks
-// each execute case performs.
-func arityOK(kind cmdKind, n int) bool {
-	switch kind {
-	case cmdGet, cmdIncr:
-		return n == 2
-	case cmdSet, cmdIncrBy:
-		return n == 3
-	case cmdDel, cmdExists, cmdMGet:
-		return n >= 2
-	case cmdMSet:
-		return n >= 3 && (n-1)%2 == 0
-	case cmdPing, cmdInfo:
-		return n <= 2
-	case cmdScan:
-		return n >= 2 && n <= 7
-	case cmdReplicaOf, cmdWait:
-		return n == 3
-	}
-	return true
-}
-
-func (c *conn) arity(name string) {
-	c.w.Error("ERR wrong number of arguments for '" + name + "' command")
 }

@@ -7,29 +7,6 @@ import (
 	"chameleondb/internal/obs"
 )
 
-// asciiEqualFold reports whether b equals s under ASCII case folding. The
-// section names INFO matches against are ASCII, so this avoids the
-// string(section) conversion a strings.EqualFold call would force on the
-// command path.
-func asciiEqualFold(b []byte, s string) bool {
-	if len(b) != len(s) {
-		return false
-	}
-	for i := 0; i < len(b); i++ {
-		cb, cs := b[i], s[i]
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if 'A' <= cs && cs <= 'Z' {
-			cs += 'a' - 'A'
-		}
-		if cb != cs {
-			return false
-		}
-	}
-	return true
-}
-
 // infoText renders the INFO reply: redis-style "# Section\nkey:value" lines,
 // restricted to one section when the client names one (section aliases the
 // RESP arg buffer; it is read, never retained). The numbers are the same
@@ -37,7 +14,7 @@ func asciiEqualFold(b []byte, s string) bool {
 // observability block /stats.json serves.
 func (s *Server) infoText(section []byte) []byte {
 	want := func(name string) bool {
-		return len(section) == 0 || asciiEqualFold(section, name)
+		return len(section) == 0 || equalFold(section, name)
 	}
 	m := s.metrics
 	var b []byte
@@ -129,9 +106,9 @@ func (s *Server) infoText(section []byte) []byte {
 	}
 	if want("commandstats") {
 		b = append(b, "# Commandstats\r\n"...)
-		for k := cmdKind(0); k < numCmdKinds; k++ {
-			if n := m.PerCmd[k].Load(); n > 0 {
-				b = fmt.Appendf(b, "cmdstat_%s:calls=%d\r\n", k.String(), n)
+		for i := range commands {
+			if n := m.PerCmd[i].Load(); n > 0 {
+				b = fmt.Appendf(b, "cmdstat_%s:calls=%d\r\n", commands[i].name, n)
 			}
 		}
 		b = append(b, "\r\n"...)
@@ -144,7 +121,7 @@ func (s *Server) infoText(section []byte) []byte {
 				continue
 			}
 			b = fmt.Appendf(b, "wire_ns_%s:count=%d,p50=%d,p99=%d,p999=%d,max=%d\r\n",
-				wireHistNames[i], h.Count, h.P50, h.P99, h.P999, h.Max)
+				histNames[i], h.Count, h.P50, h.P99, h.P999, h.Max)
 		}
 		b = append(b, "\r\n"...)
 	}

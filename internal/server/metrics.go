@@ -7,160 +7,6 @@ import (
 	"chameleondb/internal/obs"
 )
 
-// cmdKind enumerates the commands the server serves; it indexes the
-// per-command counters and picks the wire-latency histogram.
-type cmdKind int
-
-const (
-	cmdGet cmdKind = iota
-	cmdSet
-	cmdDel
-	cmdExists
-	cmdPing
-	cmdInfo
-	cmdFlushAll
-	cmdQuit
-	cmdCommand
-	cmdMGet
-	cmdMSet
-	cmdIncr
-	cmdIncrBy
-	cmdScan
-	cmdMulti
-	cmdExec
-	cmdDiscard
-	cmdReplicaOf
-	cmdWait
-	cmdUnknown
-	numCmdKinds
-)
-
-func (k cmdKind) String() string {
-	switch k {
-	case cmdGet:
-		return "get"
-	case cmdSet:
-		return "set"
-	case cmdDel:
-		return "del"
-	case cmdExists:
-		return "exists"
-	case cmdPing:
-		return "ping"
-	case cmdInfo:
-		return "info"
-	case cmdFlushAll:
-		return "flushall"
-	case cmdQuit:
-		return "quit"
-	case cmdCommand:
-		return "command"
-	case cmdMGet:
-		return "mget"
-	case cmdMSet:
-		return "mset"
-	case cmdIncr:
-		return "incr"
-	case cmdIncrBy:
-		return "incrby"
-	case cmdScan:
-		return "scan"
-	case cmdMulti:
-		return "multi"
-	case cmdExec:
-		return "exec"
-	case cmdDiscard:
-		return "discard"
-	case cmdReplicaOf:
-		return "replicaof"
-	case cmdWait:
-		return "wait"
-	}
-	return "unknown"
-}
-
-// equalFoldUpper reports whether b equals upper ASCII-case-insensitively;
-// upper must already be uppercase. No allocation — this is how the dispatch
-// loop avoids a strings.ToUpper per command.
-func equalFoldUpper(b []byte, upper string) bool {
-	if len(b) != len(upper) {
-		return false
-	}
-	for i := 0; i < len(b); i++ {
-		c := b[i]
-		if c >= 'a' && c <= 'z' {
-			c -= 'a' - 'A'
-		}
-		if c != upper[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func commandKind(name []byte) cmdKind {
-	switch {
-	case equalFoldUpper(name, "GET"):
-		return cmdGet
-	case equalFoldUpper(name, "SET"):
-		return cmdSet
-	case equalFoldUpper(name, "DEL"):
-		return cmdDel
-	case equalFoldUpper(name, "EXISTS"):
-		return cmdExists
-	case equalFoldUpper(name, "PING"):
-		return cmdPing
-	case equalFoldUpper(name, "INFO"):
-		return cmdInfo
-	case equalFoldUpper(name, "FLUSHALL"):
-		return cmdFlushAll
-	case equalFoldUpper(name, "QUIT"):
-		return cmdQuit
-	case equalFoldUpper(name, "COMMAND"):
-		return cmdCommand
-	case equalFoldUpper(name, "MGET"):
-		return cmdMGet
-	case equalFoldUpper(name, "MSET"):
-		return cmdMSet
-	case equalFoldUpper(name, "INCR"):
-		return cmdIncr
-	case equalFoldUpper(name, "INCRBY"):
-		return cmdIncrBy
-	case equalFoldUpper(name, "SCAN"):
-		return cmdScan
-	case equalFoldUpper(name, "MULTI"):
-		return cmdMulti
-	case equalFoldUpper(name, "EXEC"):
-		return cmdExec
-	case equalFoldUpper(name, "DISCARD"):
-		return cmdDiscard
-	case equalFoldUpper(name, "REPLICAOF"), equalFoldUpper(name, "SLAVEOF"):
-		return cmdReplicaOf
-	case equalFoldUpper(name, "WAIT"):
-		return cmdWait
-	}
-	return cmdUnknown
-}
-
-// wireHist buckets the per-command latency histograms: the mutating commands
-// and gets get their own tails (group commit shows up only on writes), the
-// rest share one.
-func wireHistIndex(k cmdKind) int {
-	switch k {
-	case cmdGet:
-		return 0
-	case cmdSet:
-		return 1
-	case cmdDel:
-		return 2
-	case cmdScan:
-		return 3
-	}
-	return 4
-}
-
-var wireHistNames = [5]string{"get", "set", "del", "scan", "other"}
-
 // Metrics is the serving layer's observability block. It registers into the
 // store's own registry when the store exposes one (obs.Provider), so wire
 // metrics and engine metrics come out of the same /stats.json and /metrics
@@ -179,18 +25,23 @@ type Metrics struct {
 	GroupCommits       atomic.Int64 // batcher flush rounds
 	GroupCommitFlushes atomic.Int64 // sessions flushed across all rounds
 
-	PerCmd [numCmdKinds]atomic.Int64
+	// PerCmd counts decoded commands per command-table row (command.id).
+	PerCmd []atomic.Int64
 
 	// Wire is wall-clock latency from command decode to its reply reaching
 	// the socket, including any group-commit wait — what a loopback client
-	// observes minus its own RTT share.
-	Wire [5]histogram.Histogram
+	// observes minus its own RTT share. Indexed by the rows' histBucket.
+	Wire [numHists]histogram.Histogram
 	// PipelineDepth is the observed commands-per-batch distribution, the
 	// direct measure of how much pipelining clients actually achieve.
 	PipelineDepth histogram.Histogram
 	// CommitBatch is the sessions-per-group-commit distribution, the direct
 	// measure of cross-connection flush coalescing.
 	CommitBatch histogram.Histogram
+}
+
+func newMetrics() *Metrics {
+	return &Metrics{PerCmd: make([]atomic.Int64, len(commands))}
 }
 
 // Register wires every metric into r under server_-prefixed names.
@@ -203,13 +54,13 @@ func (m *Metrics) Register(r *obs.Registry) {
 	r.CounterFunc("server_store_errors", m.StoreErrors.Load)
 	r.CounterFunc("server_group_commits", m.GroupCommits.Load)
 	r.CounterFunc("server_group_commit_flushes", m.GroupCommitFlushes.Load)
-	for k := cmdKind(0); k < numCmdKinds; k++ {
-		r.CounterFunc("server_cmd_"+k.String(), m.PerCmd[k].Load)
+	for i := range commands {
+		r.CounterFunc("server_cmd_"+commands[i].name, m.PerCmd[i].Load)
 	}
 	r.GaugeFunc("server_conns_open", m.ConnsOpen.Load)
 	r.GaugeFunc("server_cmds_inflight", m.CmdsInFlight.Load)
 	for i := range m.Wire {
-		r.Histogram("server_wire_ns_"+wireHistNames[i], &m.Wire[i])
+		r.Histogram("server_wire_ns_"+histNames[i], &m.Wire[i])
 	}
 	r.Histogram("server_pipeline_depth", &m.PipelineDepth)
 	r.Histogram("server_commit_batch", &m.CommitBatch)

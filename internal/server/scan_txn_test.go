@@ -16,33 +16,55 @@ import (
 )
 
 // failStore wraps a real store with sessions that error on the key "boom" —
-// the stub behind the partial-reply regression tests.
+// the stub behind the partial-reply regression tests. It keeps the full
+// serving contract, so the server runs its production GetInto/PutBatch paths
+// against it.
 type failStore struct {
 	kvstore.Store
 }
 
 type failSession struct {
-	kvstore.Session
+	kvstore.ServingSession
 }
 
 var errBoom = errors.New("injected store failure")
 
 func (s *failStore) NewSession(c *simclock.Clock) kvstore.Session {
-	return &failSession{s.Store.NewSession(c)}
+	return &failSession{s.Store.NewSession(c).(kvstore.ServingSession)}
 }
 
 func (se *failSession) Get(key []byte) ([]byte, bool, error) {
+	return se.GetInto(key, nil)
+}
+
+func (se *failSession) GetInto(key, dst []byte) ([]byte, bool, error) {
 	if string(key) == "boom" {
-		return nil, false, errBoom
+		return dst, false, errBoom
 	}
-	return se.Session.Get(key)
+	return se.ServingSession.GetInto(key, dst)
 }
 
 func (se *failSession) Put(key, value []byte) error {
 	if string(key) == "boom" {
 		return errBoom
 	}
-	return se.Session.Put(key, value)
+	return se.ServingSession.Put(key, value)
+}
+
+// PutBatch applies the pairs before the first "boom" and fails there: the
+// applied-prefix outcome the BatchWriter contract allows.
+func (se *failSession) PutBatch(keys, values [][]byte) error {
+	for i, k := range keys {
+		if string(k) == "boom" {
+			if i > 0 {
+				if err := se.ServingSession.PutBatch(keys[:i], values[:i]); err != nil {
+					return err
+				}
+			}
+			return errBoom
+		}
+	}
+	return se.ServingSession.PutBatch(keys, values)
 }
 
 func startFailServer(t testing.TB) string {

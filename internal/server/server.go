@@ -169,7 +169,7 @@ func New(store kvstore.Store, cfg Config) *Server {
 		cfg:     cfg,
 		store:   store,
 		cache:   cfg.Cache,
-		metrics: &Metrics{},
+		metrics: newMetrics(),
 		conns:   make(map[*conn]struct{}),
 		start:   time.Now(),
 	}
@@ -256,21 +256,35 @@ func (s *Server) admit(nc net.Conn) {
 	}
 	if s.cfg.MaxConns > 0 && len(s.conns) >= s.cfg.MaxConns {
 		s.mu.Unlock()
-		s.metrics.ConnsRejected.Add(1)
-		w := resp.NewWriter(nc)
-		w.Error("ERR max number of clients reached")
-		nc.SetWriteDeadline(time.Now().Add(time.Second))
-		w.Flush()
-		nc.Close()
+		s.refuse(nc, "ERR max number of clients reached")
 		return
 	}
-	c := newConn(s, nc)
+	// Each connection gets its own session and virtual clock: network workers
+	// are exactly the per-worker sessions the engine was designed around.
+	se, ok := s.store.NewSession(simclock.New(0)).(kvstore.ServingSession)
+	if !ok {
+		s.mu.Unlock()
+		s.refuse(nc, "ERR store sessions do not implement kvstore.ServingSession")
+		return
+	}
+	c := newConn(s, nc, se)
 	s.conns[c] = struct{}{}
 	s.wg.Add(1)
 	s.mu.Unlock()
 	s.metrics.ConnsAccepted.Add(1)
 	s.metrics.ConnsOpen.Add(1)
 	go c.serve()
+}
+
+// refuse answers a connection the server will not serve with one error, and
+// closes it.
+func (s *Server) refuse(nc net.Conn, msg string) {
+	s.metrics.ConnsRejected.Add(1)
+	w := resp.NewWriter(nc)
+	w.Error(msg)
+	nc.SetWriteDeadline(time.Now().Add(time.Second))
+	w.Flush()
+	nc.Close()
 }
 
 // remove unregisters a finished connection.
@@ -341,22 +355,4 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.downMu.Unlock()
 	return err
-}
-
-// releaseSession hands a connection's session back to the store: core
-// sessions expose Release (detach the log appender and epoch slot so a gone
-// client pins neither the recovery watermark nor table reclamation); other
-// stores settle for a final Flush.
-func releaseSession(se kvstore.Session) error {
-	if r, ok := se.(interface{ Release() error }); ok {
-		return r.Release()
-	}
-	return se.Flush()
-}
-
-// newSession builds the per-connection session. Each connection gets its own
-// virtual clock: network workers are exactly the per-worker sessions the
-// engine was designed around.
-func (s *Server) newSession() kvstore.Session {
-	return s.store.NewSession(simclock.New(0))
 }

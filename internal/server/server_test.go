@@ -170,18 +170,18 @@ type slowStore struct {
 }
 
 func (s *slowStore) NewSession(c *simclock.Clock) kvstore.Session {
-	return &slowSession{s.Store.NewSession(c), s}
+	return &slowSession{s.Store.NewSession(c).(kvstore.ServingSession), s}
 }
 
 type slowSession struct {
-	kvstore.Session
+	kvstore.ServingSession
 	st *slowStore
 }
 
-func (se *slowSession) Get(key []byte) ([]byte, bool, error) {
+func (se *slowSession) GetInto(key, dst []byte) ([]byte, bool, error) {
 	se.st.once.Do(func() { close(se.st.hit) })
 	<-se.st.block
-	return se.Session.Get(key)
+	return se.ServingSession.GetInto(key, dst)
 }
 
 // TestGracefulShutdown: a command already decoded when Shutdown starts still
