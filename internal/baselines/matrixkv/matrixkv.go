@@ -130,6 +130,7 @@ func OpenOn(cfg Config, dev *device.Device) (*Store, error) {
 	s.ops.Register(s.reg)
 	obs.RegisterDevice(s.reg, dev)
 	obs.RegisterLog(s.reg, wal)
+	obs.RegisterArena(s.reg, arena)
 	s.reg.CounterFunc("compactions", s.compactions.Load)
 	s.stripes = make([]*stripe, cfg.Stripes)
 	for i := range s.stripes {

@@ -89,6 +89,7 @@ func OpenOn(cfg Config, dev *device.Device) (*Store, error) {
 	s.ops.Register(s.reg)
 	obs.RegisterDevice(s.reg, dev)
 	obs.RegisterLog(s.reg, log)
+	obs.RegisterArena(s.reg, arena)
 	s.stripes = make([]*stripe, cfg.Stripes)
 	for i := range s.stripes {
 		t, err := cceh.New(arena, cfg.InitialDepth)

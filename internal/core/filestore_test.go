@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
 	"testing"
 
+	"chameleondb/internal/pmem"
 	"chameleondb/internal/simclock"
 )
 
@@ -153,6 +155,62 @@ func TestOpenFileRestartWithMaintenance(t *testing.T) {
 		if err != nil || !ok || !bytes.Equal(got, v) {
 			t.Fatalf("key %s after churny restart: got %q ok=%v err=%v", k, got, ok, err)
 		}
+	}
+}
+
+// TestOpenFileColdReopenResident reopens a file-backed store whose 4 GiB
+// arena holds about 1 MB: only the pages with segment files materialize, so
+// the arena's resident heap is bounded by what the directory holds, not by
+// its capacity.
+func TestOpenFileColdReopenResident(t *testing.T) {
+	cfg := TestConfig()
+	cfg.ArenaBytes = 4 << 30
+	cfg.LogBytes = 64 << 20
+	dir := t.TempDir()
+	s, _, err := OpenFile(cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	se := s.NewSession(simclock.New(0))
+	val := bytes.Repeat([]byte("v"), 1000)
+	for i := 0; i < 1000; i++ {
+		if err := se.Put(key(i), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := se.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.dat"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("segment files = %v, %v", segs, err)
+	}
+	loaded := int64(len(segs)) * 2 * pmem.PageBytes
+
+	s2, existing, err := OpenFile(cfg, dir)
+	if err != nil || !existing {
+		t.Fatalf("reopen: existing=%v err=%v", existing, err)
+	}
+	defer s2.Close()
+	resident := func() int64 { return s2.Registry().Snapshot().Gauges["arena_resident_bytes"] }
+	if got := resident(); got != loaded {
+		t.Fatalf("arena_resident_bytes after reopen = %d, want %d (%d segment files, both images)", got, loaded, len(segs))
+	}
+	if err := s2.Recover(simclock.New(0)); err != nil {
+		t.Fatal(err)
+	}
+	se2 := s2.NewSession(simclock.New(0))
+	for i := 0; i < 1000; i++ {
+		if got, ok, err := se2.Get(key(i)); err != nil || !ok || !bytes.Equal(got, val) {
+			t.Fatalf("key %d after reopen: ok=%v err=%v", i, ok, err)
+		}
+	}
+	// Recovery and the reads above work inside the loaded pages.
+	if got := resident(); got != loaded {
+		t.Fatalf("arena_resident_bytes after recovery and reads = %d, want %d", got, loaded)
 	}
 }
 

@@ -45,6 +45,7 @@ func (s *Store) buildRegistry() {
 	r.CounterFunc("inline_maintenance", st.InlineMaintenance.Load)
 	obs.RegisterDevice(r, s.dev)
 	obs.RegisterLog(r, s.log)
+	obs.RegisterArena(r, s.arena)
 	r.GaugeFunc("gpm_active", func() int64 {
 		if s.gpmActive.Load() {
 			return 1

@@ -45,6 +45,11 @@ type Session struct {
 	// durable-ack contract. Lazily allocated; nil while the pool is off.
 	dirty map[int]struct{}
 
+	// contended is set when the session has appended to the store's
+	// contended appender since its last Flush, which must then seal that
+	// chunk too.
+	contended bool
+
 	// PutBatch scratch, reused across calls so a steady stream of batches
 	// allocates nothing.
 	bhash []uint64
@@ -111,26 +116,7 @@ func (se *Session) write(key, value []byte, flags uint16) error {
 	sh.mu.Lock()
 	opStart := c.Now()
 	sh.asyncNs = 0
-	lsn, err := se.ap.Append(c, h, key, value, flags)
-	if err != nil {
-		sh.mu.Unlock()
-		return err
-	}
-	if sh.memMinLSN == 0 || lsn < sh.memMinLSN {
-		sh.memMinLSN = lsn
-	}
-	if lsn > sh.memMaxLSN {
-		sh.memMaxLSN = lsn
-	}
-	err = sh.insertMem(c, h, hashtable.MakeRef(lsn, flags&wlog.FlagTombstone != 0))
-	if err == nil && sh.pendingMerge.Load() && !se.store.gpmActive.Load() {
-		// A postponed Get-Protect dump is merged back once the burst is
-		// over (Section 2.4).
-		sh.pendingMerge.Store(false)
-		if len(sh.dumped) > 0 {
-			err = sh.async(c, func() error { return sh.lastLevelCompaction(c) })
-		}
-	}
+	err := se.appendLocked(sh, c, h, key, value, flags)
 	// Background flush/compaction time stalls this worker (its core hosts
 	// the compaction thread) but does not extend the shard's critical
 	// section for other workers.
@@ -368,8 +354,19 @@ func (sh *shard) probeEntry(c *simclock.Clock, h uint64, key []byte) (e wlog.Ent
 // appendLocked appends one entry to the session's log batch and indexes it in
 // the MemTable. Called with sh.mu held; the caller has already charged the
 // DRAM batch-copy cost and runs inside an opStart/Reserve bracket.
+//
+// The entry's LSN must exceed that of the key's newest version, because
+// recovery and replicas replay in LSN order. A session's chunk can trail
+// another session's, so when its next LSN is not above that floor the entry
+// goes to the store's contended appender, which seals its own chunk for a
+// fresh one at the tail only if it trails the floor too.
 func (se *Session) appendLocked(sh *shard, c *simclock.Clock, h uint64, key, value []byte, flags uint16) error {
-	lsn, err := se.ap.Append(c, h, key, value, flags)
+	floor := sh.lsnFloor(h)
+	ap := se.ap
+	if n := ap.NextLSN(); n != 0 && n <= floor {
+		ap, se.contended = se.store.contended, true
+	}
+	lsn, err := ap.AppendAbove(c, floor, h, key, value, flags)
 	if err != nil {
 		return err
 	}
@@ -499,6 +496,9 @@ func (se *Session) Flush() error {
 	if err := se.ap.Flush(se.clock); err != nil {
 		return err
 	}
+	if err := se.flushContended(); err != nil {
+		return err
+	}
 	// Barrier: drain the maintenance jobs of every shard this session has
 	// dirtied, so the frozen MemTables holding its acknowledged writes are
 	// persisted (or spilled with their log entries synced) before Flush
@@ -516,9 +516,22 @@ func (se *Session) Flush() error {
 	return nil
 }
 
+// flushContended seals the store's contended appender if this session has
+// appended to it since its last Flush.
+func (se *Session) flushContended() error {
+	if !se.contended {
+		return nil
+	}
+	se.contended = false
+	return se.store.contended.Flush(se.clock)
+}
+
 // Release detaches the session's appender and reader slot so a retired
 // worker holds back neither the recovery watermark nor epoch reclamation.
 func (se *Session) Release() error {
 	se.store.em.unregister(se.slot)
+	if err := se.flushContended(); err != nil {
+		return err
+	}
 	return se.ap.Release(se.clock)
 }

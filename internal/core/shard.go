@@ -145,6 +145,58 @@ func (sh *shard) rotateMem() {
 	sh.memMaxLSN = 0
 }
 
+// lsnFloor returns the LSN of the newest version of hash h the shard holds,
+// or 0 when it holds none. A write of h must get an LSN above it
+// (wlog.Appender.AppendAbove), because recovery and replicas replay in LSN
+// order and a session's private chunk can trail another session's. It walks
+// the structures in lookupView's version order, but peeks at persisted
+// tables without charging time or counting device reads, so the virtual-time
+// model sees only the write. Called with sh.mu held.
+func (sh *shard) lsnFloor(h uint64) int64 {
+	v := sh.view.Load()
+	mem := func(m *hashtable.Mem) (int64, bool) {
+		ref, _, ok := m.Get(h)
+		return hashtable.Slot{Ref: ref}.LSN(), ok
+	}
+	table := func(p *ptable) (int64, bool) {
+		s, ok := p.t.Peek(h)
+		return s.LSN(), ok
+	}
+	if lsn, ok := mem(v.mem); ok {
+		return lsn
+	}
+	for i := len(v.frozen) - 1; i >= 0; i-- {
+		if lsn, ok := mem(v.frozen[i].mem); ok {
+			return lsn
+		}
+	}
+	if v.abi != nil {
+		if lsn, ok := mem(v.abi); ok {
+			return lsn
+		}
+	}
+	for i := len(v.dumped) - 1; i >= 0; i-- {
+		if lsn, ok := table(v.dumped[i]); ok {
+			return lsn
+		}
+	}
+	if v.abi == nil {
+		for _, lvl := range v.levels {
+			for i := len(lvl) - 1; i >= 0; i-- {
+				if lsn, ok := table(lvl[i]); ok {
+					return lsn
+				}
+			}
+		}
+	}
+	if v.last != nil {
+		if lsn, ok := table(v.last); ok {
+			return lsn
+		}
+	}
+	return 0
+}
+
 // rotateABI swaps in an empty ABI after a dump or last-level compaction
 // cleared it, freezing the old table for prior views (an in-place Reset would
 // make entries vanish from a view whose dump list does not yet cover them).

@@ -23,6 +23,13 @@ type Store struct {
 	arena *pmem.Arena
 	log   *wlog.Log
 
+	// contended is the appender shared by writes whose session chunk lies
+	// below the LSN of the key's newest version (see Session.appendLocked).
+	// Such writes usually hit keys other sessions are writing too, so they
+	// meet in one chunk whose LSNs follow the order of the writes, instead
+	// of each sealing its own chunk and leaving the rest unused.
+	contended *wlog.Appender
+
 	shards     []*shard
 	shardShift uint
 
@@ -151,6 +158,7 @@ func newStoreShell(cfg Config, dev *device.Device, arena *pmem.Arena, log *wlog.
 		dev:        dev,
 		arena:      arena,
 		log:        log,
+		contended:  log.NewAppender(),
 		shardShift: 64 - uint(log2(cfg.Shards)),
 		hashFn:     xhash.Sum64,
 		em:         newEpochManager(),
@@ -260,6 +268,7 @@ func (s *Store) Crash() {
 	// writes issued after the failure instant.
 	s.em.discard()
 	s.arena.Crash()
+	s.contended.Discard()
 	// Power loss clears the device pipes: recovery does not queue behind
 	// pre-crash in-flight transfers, and its clock starts fresh.
 	s.dev.ResetTimelines()

@@ -612,28 +612,46 @@ func (d *Dev) WriteMeta(payload []byte, tear int64) error {
 	return nil
 }
 
-// LoadInto reads every existing segment file into durable at its span —
-// reattaching an arena's durable image after a process restart.
-func (d *Dev) LoadInto(durable []byte) error {
-	if int64(len(durable)) != d.opt.Capacity {
-		return fmt.Errorf("filedev: image %d bytes, directory capacity %d", len(durable), d.opt.Capacity)
-	}
+// LoadInto reads every existing segment file back into an arena's durable
+// image — reattaching it after a process restart. For each run of
+// consecutive segment files it asks into for the run's span and reads each
+// file into its part of the returned slice, so the image is only as large as
+// the files, and an allocation spanning several segments comes back as one
+// contiguous span.
+func (d *Dev) LoadInto(into func(off, n int64) ([]byte, error)) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for idx, f := range d.segs {
-		base := idx * d.opt.SegmentBytes
-		span := d.segSpan(idx)
-		if base < 0 || span <= 0 || base+span > int64(len(durable)) {
+	idxs := make([]int64, 0, len(d.segs))
+	for idx := range d.segs {
+		if idx < 0 || idx*d.opt.SegmentBytes >= d.opt.Capacity {
 			return fmt.Errorf("filedev: segment %d outside capacity", idx)
 		}
-		n, err := f.ReadAt(durable[base:base+span], 0)
-		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-			return fmt.Errorf("filedev: segment %d: %w", idx, err)
+		idxs = append(idxs, idx)
+	}
+	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+	for len(idxs) > 0 {
+		run := 1
+		for run < len(idxs) && idxs[run] == idxs[0]+int64(run) {
+			run++
 		}
-		// A short file is the crash image of an interrupted create: nothing
-		// past its length was ever durably acknowledged, so the remainder of
-		// the span reads as zero.
-		clear(durable[base+int64(n) : base+span])
+		first, last := idxs[0], idxs[run-1]
+		base := first * d.opt.SegmentBytes
+		img, err := into(base, last*d.opt.SegmentBytes+d.segSpan(last)-base)
+		if err != nil {
+			return err
+		}
+		for _, idx := range idxs[:run] {
+			seg := img[idx*d.opt.SegmentBytes-base:][:d.segSpan(idx)]
+			n, err := d.segs[idx].ReadAt(seg, 0)
+			if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+				return fmt.Errorf("filedev: segment %d: %w", idx, err)
+			}
+			// A short file is the crash image of an interrupted create:
+			// nothing past its length was ever durably acknowledged, so the
+			// remainder of the span reads as zero.
+			clear(seg[n:])
+		}
+		idxs = idxs[run:]
 	}
 	return nil
 }

@@ -17,6 +17,14 @@ func testOpts(dir string) Options {
 	}
 }
 
+// loadImage reloads d into a flat capacity-sized image, the shape the arena's
+// durable image had before it was paged.
+func loadImage(d *Dev, capacity int64) ([]byte, error) {
+	img := make([]byte, capacity)
+	err := d.LoadInto(func(off, n int64) ([]byte, error) { return img[off : off+n], nil })
+	return img, err
+}
+
 func mustOpen(t *testing.T, opt Options) *Dev {
 	t.Helper()
 	d, err := Open(opt)
@@ -47,8 +55,8 @@ func TestWriteReadRoundtrip(t *testing.T) {
 	if got := string(d2.Meta()); got != "host-state-1" {
 		t.Fatalf("Meta = %q, want host-state-1", got)
 	}
-	img := make([]byte, opt.Capacity)
-	if err := d2.LoadInto(img); err != nil {
+	img, err := loadImage(d2, opt.Capacity)
+	if err != nil {
 		t.Fatalf("LoadInto: %v", err)
 	}
 	if !bytes.Equal(img[10_000:10_000+len(data)], data) {
@@ -61,6 +69,49 @@ func TestWriteReadRoundtrip(t *testing.T) {
 	}
 	if err := d2.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestLoadIntoSpansRuns checks the shape of a reload: into is asked once per
+// run of consecutive segment files, for exactly the run's span, and never for
+// the address space no file covers.
+func TestLoadIntoSpansRuns(t *testing.T) {
+	opt := testOpts(t.TempDir())
+	d := mustOpen(t, opt)
+	seg := opt.SegmentBytes
+	// One write across segments 0 and 1, one inside segment 3.
+	a := bytes.Repeat([]byte{0xA1}, int(seg))
+	if err := d.WriteDurable(seg/2, a, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WriteDurable(3*seg+100, []byte("three"), true); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WriteMeta([]byte("meta"), -1); err != nil {
+		t.Fatal(err)
+	}
+	d2 := mustOpen(t, opt)
+	defer d2.Close()
+	type span struct{ off, n int64 }
+	var got []span
+	bufs := map[int64][]byte{}
+	err := d2.LoadInto(func(off, n int64) ([]byte, error) {
+		got = append(got, span{off, n})
+		bufs[off] = make([]byte, n)
+		return bufs[off], nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []span{{0, 2 * seg}, {3 * seg, seg}}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("into spans = %v, want %v", got, want)
+	}
+	if !bytes.Equal(bufs[0][seg/2:seg/2+seg], a) {
+		t.Fatal("write across the segment boundary did not reload contiguous")
+	}
+	if string(bufs[3*seg][100:105]) != "three" {
+		t.Fatal("segment 3 reloaded at the wrong offset")
 	}
 }
 
@@ -148,8 +199,8 @@ func TestBootstrapCrashReinitializes(t *testing.T) {
 	if d2.Existing() {
 		t.Fatal("directory with no metadata record reported as existing")
 	}
-	img := make([]byte, testOpts(dir).Capacity)
-	if err := d2.LoadInto(img); err != nil {
+	img, err := loadImage(d2, testOpts(dir).Capacity)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range img {
@@ -237,8 +288,8 @@ func TestDirSyncLossScenario(t *testing.T) {
 		}
 	}
 	reopened := mustOpen(t, testOpts(opt.Dir))
-	img := make([]byte, opt.Capacity)
-	if err := reopened.LoadInto(img); err != nil {
+	img, err := loadImage(reopened, opt.Capacity)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Contains(img, payload) {
@@ -337,8 +388,8 @@ func TestScanIgnoresJunkNames(t *testing.T) {
 	if !d2.Existing() {
 		t.Fatal("junk file names broke reattach")
 	}
-	img := make([]byte, opt.Capacity)
-	if err := d2.LoadInto(img); err != nil {
+	img, err := loadImage(d2, opt.Capacity)
+	if err != nil {
 		t.Fatalf("LoadInto: %v", err)
 	}
 	if !bytes.Equal(img[:len(data)], data) {

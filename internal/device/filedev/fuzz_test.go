@@ -88,8 +88,7 @@ func FuzzSegmentScan(f *testing.F) {
 		if err != nil {
 			return
 		}
-		img := make([]byte, opt.Capacity)
-		_ = d.LoadInto(img)
+		_, _ = loadImage(d, opt.Capacity)
 		d.Close()
 	})
 }

@@ -16,7 +16,8 @@ import (
 type PmemTable struct {
 	arena *pmem.Arena
 	off   int64
-	cap   int // slots
+	b     []byte // the table's arena view: one allocation is one view
+	cap   int    // slots
 	count int
 	mask  uint64
 }
@@ -36,7 +37,7 @@ func NewPmemTable(arena *pmem.Arena, capacity int) (*PmemTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PmemTable{arena: arena, off: off, cap: c, mask: uint64(c - 1)}, nil
+	return &PmemTable{arena: arena, off: off, b: arena.Bytes(off, int64(c)*SlotSize), cap: c, mask: uint64(c - 1)}, nil
 }
 
 // OpenPmemTable reattaches to a persisted table at a known offset (recovery
@@ -53,7 +54,8 @@ func OpenPmemTable(arena *pmem.Arena, off int64, capacity, count int) (*PmemTabl
 	if off <= 0 || off+int64(capacity)*SlotSize > arena.Capacity() {
 		return nil, fmt.Errorf("hashtable: persisted table [%d, +%d slots] outside arena", off, capacity)
 	}
-	return &PmemTable{arena: arena, off: off, cap: capacity, count: count, mask: uint64(capacity - 1)}, nil
+	return &PmemTable{arena: arena, off: off, b: arena.Bytes(off, int64(capacity)*SlotSize),
+		cap: capacity, count: count, mask: uint64(capacity - 1)}, nil
 }
 
 // Cap returns the slot capacity.
@@ -73,7 +75,7 @@ func (t *PmemTable) SizeBytes() int64 { return int64(t.cap) * SlotSize }
 func (t *PmemTable) insertVolatile(s Slot) bool {
 	idx := s.Hash & t.mask
 	for i := 0; i < t.cap; i++ {
-		b := t.arena.Bytes(t.off+int64(idx)*SlotSize, SlotSize)
+		b := t.b[idx*SlotSize:]
 		cur := decodeSlot(b)
 		if cur.Ref == 0 {
 			encodeSlot(b, s)
@@ -130,12 +132,29 @@ func (t *PmemTable) Get(c *simclock.Clock, h uint64) (Slot, bool) {
 	for i := 0; i < t.cap; i++ {
 		line := int64(idx) / slotsPerLine
 		if line != lastLine {
-			t.arena.ReadRandom(c, t.off+line*256, 256)
+			t.arena.Device().ReadRandom(c, t.off+line*256, 256)
 			lastLine = line
 		} else {
 			c.Advance(device.CostSlotProbe)
 		}
-		s := decodeSlot(t.arena.Bytes(t.off+int64(idx)*SlotSize, SlotSize))
+		s := decodeSlot(t.b[idx*SlotSize:])
+		if s.Ref == 0 {
+			return Slot{}, false
+		}
+		if s.Hash == h {
+			return s, true
+		}
+		idx = (idx + 1) & t.mask
+	}
+	return Slot{}, false
+}
+
+// Peek probes for hash h like Get, but charges no time and counts no device
+// read: for bookkeeping lookups the cost model must not see.
+func (t *PmemTable) Peek(h uint64) (Slot, bool) {
+	idx := h & t.mask
+	for i := 0; i < t.cap; i++ {
+		s := decodeSlot(t.b[idx*SlotSize:])
 		if s.Ref == 0 {
 			return Slot{}, false
 		}
@@ -152,7 +171,7 @@ func (t *PmemTable) Get(c *simclock.Clock, h uint64) (Slot, bool) {
 // read at all when merging from the ABI, Section 2.2/Figure 8).
 func (t *PmemTable) Iterate(fn func(Slot) bool) {
 	for i := 0; i < t.cap; i++ {
-		s := decodeSlot(t.arena.Bytes(t.off+int64(i)*SlotSize, SlotSize))
+		s := decodeSlot(t.b[i*SlotSize:])
 		if s.Ref != 0 {
 			if !fn(s) {
 				return
@@ -164,7 +183,7 @@ func (t *PmemTable) Iterate(fn func(Slot) bool) {
 // ChargeScan books the sequential read of the whole table used by
 // Pmem-resident compactions.
 func (t *PmemTable) ChargeScan(c *simclock.Clock) {
-	t.arena.ReadSeq(c, t.off, t.SizeBytes())
+	t.arena.Device().ReadSeq(c, t.off, t.SizeBytes())
 }
 
 // Release returns the table's space to the arena.

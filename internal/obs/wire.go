@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"chameleondb/internal/device"
+	"chameleondb/internal/pmem"
 	"chameleondb/internal/wlog"
 )
 
@@ -19,14 +20,26 @@ func RegisterDevice(r *Registry, dev *device.Device) {
 	r.GaugeFunc("device_concurrency", func() int64 { return int64(dev.Concurrency()) })
 }
 
-// RegisterLog registers the shared storage log's totals and watermarks.
+// RegisterLog registers the shared storage log's totals, watermarks and
+// capacity: log_live_bytes against log_capacity_bytes is how close the log is
+// to refusing appends.
 func RegisterLog(r *Registry, log *wlog.Log) {
 	r.CounterFunc("log_entries_appended", log.Entries)
 	r.CounterFunc("log_bytes_appended", log.BytesAppended)
 	r.GaugeFunc("log_live_bytes", log.LiveBytes)
+	r.GaugeFunc("log_capacity_bytes", log.Capacity)
 	r.GaugeFunc("log_head_lsn", log.Base)
 	r.GaugeFunc("log_tail_lsn", log.Tail)
 	r.GaugeFunc("log_min_next_lsn", log.MinNextLSN)
+}
+
+// RegisterArena registers the pmem arena's limits: its capacity, the bump
+// allocator's high-water mark (how close Alloc is to ErrOutOfSpace), and the
+// heap its materialized pages hold, counting both images.
+func RegisterArena(r *Registry, a *pmem.Arena) {
+	r.GaugeFunc("arena_capacity_bytes", a.Capacity)
+	r.GaugeFunc("arena_in_use_bytes", a.InUse)
+	r.GaugeFunc("arena_resident_bytes", a.Resident)
 }
 
 // OpCounters is the generic operation counter block every store in the

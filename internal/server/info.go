@@ -7,6 +7,12 @@ import (
 	"chameleondb/internal/obs"
 )
 
+// storageGauges are the store registry gauges INFO storage reports.
+var storageGauges = []string{
+	"arena_capacity_bytes", "arena_in_use_bytes", "arena_resident_bytes",
+	"log_capacity_bytes", "log_live_bytes",
+}
+
 // infoText renders the INFO reply: redis-style "# Section\nkey:value" lines,
 // restricted to one section when the client names one (section aliases the
 // RESP arg buffer; it is read, never retained). The numbers are the same
@@ -100,6 +106,20 @@ func (s *Server) infoText(section []byte) []byte {
 			}
 			if h, ok := snap.Histograms["job_duration_ns"]; ok {
 				b = fmt.Appendf(b, "job_duration_ns:count=%d,p50=%d,p99=%d,max=%d\r\n", h.Count, h.P50, h.P99, h.Max)
+			}
+			b = append(b, "\r\n"...)
+		}
+	}
+	if want("storage") {
+		// How close the store is to its space limits: the arena's allocator
+		// mark and materialized heap against its capacity, and the log's
+		// live segments against its capacity. Read from the store's
+		// registry; a store without one reports no section.
+		if p, ok := s.store.(obs.Provider); ok && p.Registry() != nil {
+			snap := p.Registry().Snapshot()
+			b = append(b, "# Storage\r\n"...)
+			for _, name := range storageGauges {
+				b = fmt.Appendf(b, "%s:%d\r\n", name, snap.Gauges[name])
 			}
 			b = append(b, "\r\n"...)
 		}

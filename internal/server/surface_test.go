@@ -167,4 +167,37 @@ func TestObservableSurface(t *testing.T) {
 	if strings.Join(names, " ") != strings.Join(wantNames, " ") {
 		t.Fatalf("metric names =\n%v\nwant\n%v", names, wantNames)
 	}
+
+	// Space limits: INFO storage (capacities of core.TestConfig) and the
+	// registry gauges /metrics exports under the same names.
+	rep, err = c.DoStrings("INFO", "storage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines = strings.Split(strings.TrimSuffix(string(rep.Str), "\r\n\r\n"), "\r\n")
+	wantStorage := []string{
+		"# Storage",
+		"arena_capacity_bytes:67108864",
+		"arena_in_use_bytes:",
+		"arena_resident_bytes:",
+		"log_capacity_bytes:33554432",
+		"log_live_bytes:",
+	}
+	if len(lines) != len(wantStorage) {
+		t.Fatalf("INFO storage lines = %q, want prefixes %q", lines, wantStorage)
+	}
+	for i, want := range wantStorage {
+		if !strings.HasPrefix(lines[i], want) {
+			t.Fatalf("storage line %d = %q, want prefix %q", i, lines[i], want)
+		}
+	}
+	gauges := s.Registry().Snapshot().Gauges
+	for _, name := range storageGauges {
+		if _, ok := gauges[name]; !ok {
+			t.Fatalf("gauge %s missing from the registry", name)
+		}
+	}
+	if gauges["arena_in_use_bytes"] <= 0 || gauges["arena_resident_bytes"] <= 0 || gauges["log_live_bytes"] <= 0 {
+		t.Fatalf("storage gauges not live after writes: %v", gauges)
+	}
 }

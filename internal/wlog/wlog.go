@@ -270,6 +270,9 @@ func (l *Log) Base() int64 { return l.head.Load() }
 // Tail returns the high-water LSN: all entries live below it. Lock-free.
 func (l *Log) Tail() int64 { return l.next.Load() }
 
+// Capacity returns the most bytes the log's live segments may hold.
+func (l *Log) Capacity() int64 { return l.capacity }
+
 // SegmentSize returns the physical allocation unit.
 func (l *Log) SegmentSize() int64 { return l.segSize }
 
@@ -461,6 +464,16 @@ func (l *Log) MinNextLSN() int64 {
 // when its chunk seals or Flush is called — the same window a real batched
 // log has.
 func (a *Appender) Append(c *simclock.Clock, hash uint64, key, value []byte, flags uint16) (int64, error) {
+	return a.AppendAbove(c, 0, hash, key, value, flags)
+}
+
+// AppendAbove is Append with an LSN floor: the entry is guaranteed an LSN
+// above floor. When the private chunk's next position is not, the chunk is
+// sealed and the entry goes into a fresh chunk from the log tail, which lies
+// above every LSN handed out so far. Stores pass the LSN of the key's newest
+// version, so a later write never gets a lower LSN than an earlier one from
+// another session — recovery and replicas replay in LSN order.
+func (a *Appender) AppendAbove(c *simclock.Clock, floor int64, hash uint64, key, value []byte, flags uint16) (int64, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if len(key) > 0xffff {
@@ -470,7 +483,7 @@ func (a *Appender) Append(c *simclock.Clock, hash uint64, key, value []byte, fla
 		return 0, fmt.Errorf("wlog: value too long (%d)", len(value))
 	}
 	sz := EntrySize(len(key), len(value))
-	if a.chunkOff == 0 || a.used+sz > a.chunkLen {
+	if a.chunkOff == 0 || a.used+sz > a.chunkLen || a.chunkOff+a.used <= floor {
 		if err := a.seal(c); err != nil {
 			return 0, err
 		}
@@ -505,6 +518,26 @@ func (a *Appender) Append(c *simclock.Clock, hash uint64, key, value []byte, fla
 	return lsn, nil
 }
 
+// NextLSN returns the smallest LSN a future append by this appender can
+// return, or 0 when it holds no chunk (its next append starts a fresh chunk
+// at the log tail, above every LSN handed out so far).
+func (a *Appender) NextLSN() int64 { return a.nextLSN.Load() }
+
+// Discard drops the open chunk without persisting it. After a crash the
+// chunk's unpersisted tail is gone, and entries appended past that gap would
+// be invisible to Scan, which stops a chunk at the first empty header.
+func (a *Appender) Discard() {
+	a.mu.Lock()
+	a.detach()
+	a.mu.Unlock()
+}
+
+// detach forgets the open chunk. Caller holds a.mu.
+func (a *Appender) detach() {
+	a.chunkOff, a.chunkPhys, a.chunkLen, a.used, a.persisted = 0, 0, 0, 0, 0
+	a.nextLSN.Store(0)
+}
+
 // AppendSync appends one entry and persists it immediately — no batching.
 // Each call is a small write that the device rounds up to its 256 B access
 // unit with a read-modify-write: the put path of the Pmem-Hash baseline,
@@ -531,8 +564,7 @@ func (a *Appender) seal(c *simclock.Clock) error {
 		a.log.arena.Persist(c, a.chunkPhys+a.persisted, a.used-a.persisted)
 		a.persisted = a.used
 	}
-	a.chunkOff, a.chunkPhys, a.chunkLen, a.used, a.persisted = 0, 0, 0, 0, 0
-	a.nextLSN.Store(0)
+	a.detach()
 	if sealed {
 		if hook := a.log.sealHook.Load(); hook != nil {
 			(*hook)()
